@@ -97,3 +97,19 @@ fn errors_are_reported_cleanly() {
         .unwrap()
         .contains("unknown platform"));
 }
+
+#[test]
+fn serve_rejects_pipelining_combined_with_batching() {
+    let out = Command::new(env!("CARGO_BIN_EXE_gillis"))
+        .args(["serve", "--model", "tiny-vgg", "--queries", "10"])
+        .env("GILLIS_PIPELINE_LANES", "2")
+        .env("GILLIS_BATCH_MAX", "4")
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success(), "conflicting knobs must fail closed");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("GILLIS_PIPELINE_LANES") && stderr.contains("GILLIS_BATCH_MAX"),
+        "the error names both knobs:\n{stderr}"
+    );
+}
