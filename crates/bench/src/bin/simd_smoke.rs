@@ -1,5 +1,6 @@
 //! CI smoke: the SIMD GEMM path must beat the scalar blocked kernel on the
-//! VGG-16 conv3_2 shape.
+//! VGG-16 conv3_2 shape. It names the micro-kernel it measured
+//! (`avx512 8x32` or `avx2 4x8`) next to the ratio.
 //!
 //! `GILLIS_NO_SIMD` is latched per process on first kernel dispatch, so the
 //! scalar reference cannot be timed in the same process that timed the SIMD
@@ -59,9 +60,10 @@ fn main() {
 
     let speedup = scalar_ns / simd_ns;
     println!(
-        "conv3_2: scalar {:.1} ms, simd {:.1} ms — {speedup:.2}x",
+        "conv3_2: scalar {:.1} ms, simd {:.1} ms — {speedup:.2}x ({} kernel)",
         scalar_ns / 1e6,
-        simd_ns / 1e6
+        simd_ns / 1e6,
+        gillis_tensor::simd::gemm_kernel()
     );
     // The acceptance bar is 2x on a quiet machine; CI runners are noisy, so
     // gate on a margin that still catches a broken dispatch (which would be

@@ -15,9 +15,12 @@ use gillis_faas::{
 };
 use proptest::prelude::*;
 
+/// A policy's `from_text`, reduced to whether it accepted the text.
+type Parses = fn(&str) -> bool;
+
 /// Every text parser in the workspace, behind one signature so the
 /// never-panics sweep and the malformed-input table drive all of them.
-const PARSERS: &[(&str, &str, fn(&str) -> bool)] = &[
+const PARSERS: &[(&str, &str, Parses)] = &[
     ("batch", "gillis-batch v1", |t| {
         BatchPolicy::from_text(t).is_ok()
     }),

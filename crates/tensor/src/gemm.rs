@@ -24,6 +24,23 @@
 //! so results remain bit-identical across `GILLIS_THREADS` settings within
 //! either mode. Set `GILLIS_NO_SIMD=1` to force the scalar path at runtime.
 //!
+//! # Packed-GEMM driver
+//!
+//! Every packed product ([`gemm_packed`], and [`gemm`] in SIMD mode, which
+//! packs its row chunk on the fly) runs one loop nest,
+//! `kb → NT-column tile → row block`. For each `KC`-deep block of `k` it
+//! copies the `KC × NT` slice of `B` into a per-thread scratch tile
+//! ([`crate::scratch::Site::GemmTile`], 16 KiB), and every row block of the
+//! thread's chunk then sweeps that tile from L1 instead of reading `B` at
+//! the im2col matrix's row stride, which maps a block's `B` rows onto a few
+//! L1 sets. A chunk of at most one 4-row block gets no reuse from the copy
+//! and reads `B` in place. The micro-kernel is chosen once per process
+//! ([`crate::simd::gemm_kernel`]): AVX-512F 8×32 tiles, else AVX2+FMA 4×8
+//! tiles, else the scalar 4×8 reference. Tile shape never changes a bit:
+//! each output element starts from its `C` value and takes exactly one
+//! multiply-add per `k`, in ascending `k` (fused in both SIMD kernels,
+//! unfused in the scalar one), whatever rows and columns share its tile.
+//!
 //! # Threading
 //!
 //! Multi-threaded paths run on the process-wide persistent pool
@@ -34,12 +51,18 @@
 //! thread (the explicit `*_with_threads` entry points honour the caller's
 //! count unconditionally — results are bit-identical either way).
 
+use crate::scratch::{self, Site};
+use crate::simd::{prefetch, Kernel};
 use gillis_pool::{Pool, Task};
 
 /// k-dimension block: one panel of `B` rows kept hot across the row sweep.
 const KC: usize = 128;
-/// n-dimension block: keeps a `KC`×`NC` panel of `B` (~512 KiB) cache-resident.
+/// n-dimension block of the unpacked scalar kernel: keeps a `KC`×`NC` panel
+/// of `B` (~512 KiB) cache-resident.
 const NC: usize = 1024;
+/// Column width of the packed driver's `B` tile: `KC`×`NT` f32 is 16 KiB,
+/// well inside L1, and one tile row is two AVX-512 `zmm` registers.
+const NT: usize = 32;
 
 /// Small-GEMM cutoff on `m·n·k` (multiply-add count). Below this the whole
 /// product finishes in roughly the time a pool round trip costs, so [`gemm`]
@@ -100,6 +123,22 @@ pub fn gemm_with_threads(
     c: &mut [f32],
     threads: usize,
 ) {
+    gemm_with_kernel(m, n, k, a, b, c, threads, Kernel::active());
+}
+
+/// [`gemm_with_threads`] on an explicit micro-kernel — the seam tests use
+/// to compare kernels on one host.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_with_kernel(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    threads: usize,
+    kernel: Kernel,
+) {
     assert_eq!(a.len(), m * k, "A must be m*k");
     assert_eq!(b.len(), k * n, "B must be k*n");
     assert_eq!(c.len(), m * n, "C must be m*n");
@@ -108,7 +147,7 @@ pub fn gemm_with_threads(
     }
     let threads = threads.clamp(1, m);
     if threads == 1 {
-        gemm_rows(n, k, a, b, c);
+        gemm_rows(n, k, a, b, c, kernel);
         return;
     }
     // Contiguous row chunks, one per task: each output element is owned by
@@ -118,7 +157,7 @@ pub fn gemm_with_threads(
         .chunks(rows_per * k)
         .zip(c.chunks_mut(rows_per * n))
         .map(|(a_chunk, c_chunk)| -> Task {
-            Box::new(move || gemm_rows(n, k, a_chunk, b, c_chunk))
+            Box::new(move || gemm_rows(n, k, a_chunk, b, c_chunk, kernel))
         })
         .collect();
     Pool::global().join_all(tasks);
@@ -128,8 +167,8 @@ pub fn gemm_with_threads(
 /// `k`-step so the packed kernel updates four output rows per sweep of a `B`
 /// panel row.
 const MR: usize = 4;
-/// Register-tile width of the packed micro-kernel: 4×8 accumulators live in
-/// registers across a `KC` block.
+/// Register-tile width of the scalar packed micro-kernel: 4×8 accumulators
+/// live in registers across a `KC` block.
 const NR: usize = 8;
 
 /// The `A` operand of [`gemm`] repacked once into cache- and register-
@@ -216,6 +255,19 @@ pub fn gemm_packed_with_threads(
     c: &mut [f32],
     threads: usize,
 ) {
+    gemm_packed_with_kernel(packed, n, b, c, threads, Kernel::active());
+}
+
+/// [`gemm_packed_with_threads`] on an explicit micro-kernel — the seam tests
+/// use to compare kernels on one host.
+pub(crate) fn gemm_packed_with_kernel(
+    packed: &PackedA,
+    n: usize,
+    b: &[f32],
+    c: &mut [f32],
+    threads: usize,
+    kernel: Kernel,
+) {
     let (m, k) = (packed.m, packed.k);
     assert_eq!(b.len(), k * n, "B must be k*n");
     assert_eq!(c.len(), m * n, "C must be m*n");
@@ -225,7 +277,7 @@ pub fn gemm_packed_with_threads(
     let nblocks = m.div_ceil(MR);
     let threads = threads.clamp(1, nblocks);
     if threads == 1 {
-        packed_rows(packed, 0, n, b, c);
+        packed_rows_raw(&packed.data, m, k, 0, n, b, c, kernel);
         return;
     }
     let rows_per = nblocks.div_ceil(threads) * MR;
@@ -234,7 +286,7 @@ pub fn gemm_packed_with_threads(
         .enumerate()
         .map(|(t, c_chunk)| -> Task {
             let row0 = t * rows_per;
-            Box::new(move || packed_rows(packed, row0, n, b, c_chunk))
+            Box::new(move || packed_rows_raw(&packed.data, m, k, row0, n, b, c_chunk, kernel))
         })
         .collect();
     Pool::global().join_all(tasks);
@@ -263,14 +315,18 @@ fn pack_panels(m: usize, k: usize, a: &[f32], data: &mut [f32]) {
     }
 }
 
-/// Packed kernel over output rows `row0 .. row0 + c.len()/n`. `row0` must be
-/// [`MR`]-aligned (thread chunks split at block boundaries).
-fn packed_rows(packed: &PackedA, row0: usize, n: usize, b: &[f32], c: &mut [f32]) {
-    packed_rows_raw(&packed.data, packed.m, packed.k, row0, n, b, c);
-}
-
-/// [`packed_rows`] over a raw micro-panel buffer — also the engine of the
-/// unpacked SIMD path, which packs a row chunk into scratch on the fly.
+/// The packed-GEMM driver (see the module docs) over output rows
+/// `row0 .. row0 + c.len()/n` of the micro-panel buffer `data` (the
+/// [`PackedA`] layout of an `m`×`k` matrix). `row0` must be [`MR`]-aligned:
+/// thread chunks split at block boundaries.
+///
+/// Loops `kb → NT-column tile → row block`: each `KC`×`NT` slice of `B` is
+/// copied once into the thread's [`Site::GemmTile`] scratch buffer and every
+/// row block of the chunk runs `kernel` over it from L1. A chunk of at most
+/// one [`MR`]-row block runs `kernel` on `B` in place instead.
+/// `kernel.rows()` rows go to each call — for AVX-512, two consecutive
+/// `MR`-row blocks, which the layout stores back to back.
+#[allow(clippy::too_many_arguments)]
 fn packed_rows_raw(
     data: &[f32],
     m: usize,
@@ -279,9 +335,28 @@ fn packed_rows_raw(
     n: usize,
     b: &[f32],
     c: &mut [f32],
+    kernel: Kernel,
 ) {
     debug_assert_eq!(row0 % MR, 0);
+    // Checked once per chunk: the SIMD arms below rely on it.
+    assert!(
+        kernel.supported(),
+        "{kernel:?} kernel is not supported by this CPU"
+    );
     let row1 = row0 + c.len() / n;
+    let step = kernel.rows();
+    // A chunk of one `PackedA` block sweeps each tile once, so a copy buys
+    // no reuse: it reads `B` in place, in the widest column spans the
+    // kernel takes (depthwise convs run one such one-row GEMM per channel).
+    // An 8-row AVX-512 call also sweeps once, but measured faster on the
+    // copied tile.
+    let in_place = row1 - row0 <= MR;
+    let width = if in_place { kernel.cols() } else { NT };
+    let mut tile = Vec::new();
+    if !in_place {
+        tile = scratch::take(Site::GemmTile);
+        tile.resize(KC * NT, 0.0);
+    }
     let mut kb = 0;
     while kb < k {
         let kend = (kb + KC).min(k);
@@ -289,66 +364,78 @@ fn packed_rows_raw(
         // Packed data for this k-block starts at m*kb; row block r0 within
         // it starts r0*kc further (blocks are stored in row order).
         let block_base = m * kb;
-        let mut nb = 0;
-        while nb < n {
-            let nend = (nb + NC).min(n);
+        let mut j0 = 0;
+        while j0 < n {
+            let w = (n - j0).min(width);
+            let (bt, ldb) = if in_place {
+                (&b[kb * n + j0..], n)
+            } else {
+                for (kk, dst) in tile.chunks_exact_mut(NT).take(kc).enumerate() {
+                    let src = (kb + kk) * n + j0;
+                    dst[..w].copy_from_slice(&b[src..src + w]);
+                    // The next tile's row: far apart rows defeat the hardware
+                    // prefetcher, and this one is needed a whole sweep later.
+                    let next = b.as_ptr().wrapping_add(src + NT);
+                    prefetch(next);
+                    prefetch(next.wrapping_add(16));
+                }
+                (&tile[..], NT)
+            };
             let mut r0 = row0;
             while r0 < row1 {
-                let bh = (row1 - r0).min(MR);
+                let bh = (row1 - r0).min(step);
                 let panel = &data[block_base + r0 * kc..block_base + (r0 + bh) * kc];
-                let c_rows = &mut c[(r0 - row0) * n..(r0 - row0 + bh) * n];
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-                if crate::simd::simd_active() {
-                    // SAFETY: simd_active() verified AVX2+FMA at runtime.
-                    // Both FMA kernels share one per-element operation
-                    // history, so block grouping never changes rounding.
-                    unsafe {
-                        if bh == MR {
-                            crate::simd::packed_micro_4_fma(panel, kc, kb, n, nb, nend, b, c_rows);
-                        } else {
-                            crate::simd::packed_micro_rem_fma(
-                                panel, bh, kc, kb, n, nb, nend, b, c_rows,
-                            );
-                        }
-                    }
-                    r0 += bh;
-                    continue;
-                }
-                if bh == MR {
-                    packed_micro_4(panel, kc, kb, n, nb, nend, b, c_rows);
-                } else {
-                    packed_micro_rem(panel, bh, kc, kb, n, nb, nend, b, c_rows);
+                let c0 = (r0 - row0) * n + j0;
+                let c_tile = &mut c[c0..c0 + (bh - 1) * n + w];
+                match kernel {
+                    Kernel::Scalar if bh == MR => packed_micro_4(panel, kc, bt, ldb, c_tile, n, w),
+                    Kernel::Scalar => packed_micro_rem(panel, bh, kc, bt, ldb, c_tile, n, w),
+                    // SAFETY: `kernel.supported()` was asserted above; the
+                    // kernels check their own slice bounds.
+                    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                    Kernel::Avx2 if bh == MR => unsafe {
+                        crate::simd::micro_4_fma(panel, kc, bt, ldb, c_tile, n, w)
+                    },
+                    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                    Kernel::Avx2 => unsafe {
+                        crate::simd::micro_rem_fma(panel, bh, kc, bt, ldb, c_tile, n, w)
+                    },
+                    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                    Kernel::Avx512 => unsafe {
+                        crate::simd::tile_8x32(panel, bh, kc, bt, ldb, c_tile, n, w)
+                    },
                 }
                 r0 += bh;
             }
-            nb = nend;
+            j0 += w;
         }
         kb = kend;
     }
+    scratch::put(Site::GemmTile, tile);
 }
 
-/// 4-row register-blocked micro-kernel: 4×[`NR`] accumulators are loaded
-/// from `C`, swept over the `KC` block in ascending-`k` order, and stored
-/// back — one pass over each `B` panel row feeds four output rows, and `C`
-/// traffic drops to once per `KC` block. The accumulators start from the
+/// 4-row register-blocked micro-kernel over output columns `0..w`: 4×[`NR`]
+/// accumulators are loaded from `C` (four rows at stride `ldc`), swept over
+/// the `KC` block of `B` (`kc` rows at stride `ldb`) in ascending-`k` order,
+/// and stored back — one pass over each `B` row feeds four output rows, and
+/// `C` traffic drops to once per `KC` block. The accumulators start from the
 /// current `C` values, so per-element accumulation order is exactly that of
 /// [`gemm`].
 #[allow(clippy::too_many_arguments)]
 fn packed_micro_4(
     panel: &[f32],
     kc: usize,
-    k0: usize,
-    n: usize,
-    nb: usize,
-    nend: usize,
     b: &[f32],
-    c_rows: &mut [f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    w: usize,
 ) {
-    let (c0, rest) = c_rows.split_at_mut(n);
-    let (c1, rest) = rest.split_at_mut(n);
-    let (c2, c3) = rest.split_at_mut(n);
-    let mut j = nb;
-    while j + NR <= nend {
+    let (c0, rest) = c.split_at_mut(ldc);
+    let (c1, rest) = rest.split_at_mut(ldc);
+    let (c2, c3) = rest.split_at_mut(ldc);
+    let mut j = 0;
+    while j + NR <= w {
         let mut acc0 = [0.0f32; NR];
         let mut acc1 = [0.0f32; NR];
         let mut acc2 = [0.0f32; NR];
@@ -359,7 +446,7 @@ fn packed_micro_4(
         acc3.copy_from_slice(&c3[j..j + NR]);
         for kk in 0..kc {
             let ap = &panel[kk * MR..kk * MR + MR];
-            let brow = &b[(k0 + kk) * n + j..(k0 + kk) * n + j + NR];
+            let brow = &b[kk * ldb + j..kk * ldb + j + NR];
             for t in 0..NR {
                 let bv = brow[t];
                 acc0[t] += ap[0] * bv;
@@ -374,14 +461,14 @@ fn packed_micro_4(
         c3[j..j + NR].copy_from_slice(&acc3);
         j += NR;
     }
-    while j < nend {
+    while j < w {
         let mut a0 = c0[j];
         let mut a1 = c1[j];
         let mut a2 = c2[j];
         let mut a3 = c3[j];
         for kk in 0..kc {
             let ap = &panel[kk * MR..kk * MR + MR];
-            let bv = b[(k0 + kk) * n + j];
+            let bv = b[kk * ldb + j];
             a0 += ap[0] * bv;
             a1 += ap[1] * bv;
             a2 += ap[2] * bv;
@@ -402,18 +489,17 @@ fn packed_micro_rem(
     panel: &[f32],
     bh: usize,
     kc: usize,
-    k0: usize,
-    n: usize,
-    nb: usize,
-    nend: usize,
     b: &[f32],
-    c_rows: &mut [f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    w: usize,
 ) {
     for r in 0..bh {
-        let c_row = &mut c_rows[r * n + nb..r * n + nend];
+        let c_row = &mut c[r * ldc..r * ldc + w];
         for kk in 0..kc {
             let aik = panel[kk * bh + r];
-            let b_row = &b[(k0 + kk) * n + nb..(k0 + kk) * n + nend];
+            let b_row = &b[kk * ldb..kk * ldb + w];
             for (cv, bv) in c_row.iter_mut().zip(b_row.iter()) {
                 *cv += aik * *bv;
             }
@@ -427,10 +513,9 @@ fn packed_micro_rem(
 /// cache-hot while all rows sweep over it, and the `j` loop is a pure axpy
 /// over contiguous slices, which the compiler vectorizes. Per output element
 /// the additions happen in ascending-`k` order for any block sizes.
-fn gemm_rows(n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if crate::simd::simd_active() {
-        return gemm_rows_fma(n, k, a, b, c);
+fn gemm_rows(n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32], kernel: Kernel) {
+    if kernel != Kernel::Scalar {
+        return gemm_rows_fma(n, k, a, b, c, kernel);
     }
     let m = a.len() / k;
     let mut kb = 0;
@@ -459,18 +544,16 @@ fn gemm_rows(n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
 /// [`gemm_rows`] for SIMD mode: the plain axpy loop is L1-bandwidth-bound
 /// (it re-streams the `C` and `B` rows every `k` step, so wider multiplies
 /// buy nothing). Instead the row chunk is repacked into micro-panels in a
-/// per-thread scratch buffer and run through the register-blocked FMA
-/// micro-kernels — 4× the register reuse, which is where FMA pays off.
-/// Packing reuses scratch capacity, so the warm path stays allocation-free.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-fn gemm_rows_fma(n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    use crate::scratch::{self, Site};
+/// per-thread scratch buffer and run through the packed driver and its
+/// register-blocked FMA micro-kernels — where FMA pays off. Packing reuses
+/// scratch capacity, so the warm path stays allocation-free.
+fn gemm_rows_fma(n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32], kernel: Kernel) {
     let m = a.len() / k;
     let mut buf = scratch::take(Site::GemmPack);
     buf.clear();
     buf.resize(m * k, 0.0);
     pack_panels(m, k, a, &mut buf);
-    packed_rows_raw(&buf, m, k, 0, n, b, c);
+    packed_rows_raw(&buf, m, k, 0, n, b, c, kernel);
     scratch::put(Site::GemmPack, buf);
 }
 
@@ -1120,6 +1203,74 @@ mod tests {
                             }
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// The AVX-512 8×32 kernel must reproduce the AVX2 4×8 kernel bit for
+    /// bit: both take one FMA per `k` per element in ascending `k`, so tile
+    /// shape cannot change rounding. Returns early on CPUs without AVX-512F.
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[test]
+    fn avx512_kernel_is_bit_identical_to_avx2() {
+        if !(Kernel::Avx512.supported() && Kernel::Avx2.supported()) {
+            println!("avx512_kernel_is_bit_identical_to_avx2: no avx512f on this CPU, skipped");
+            return;
+        }
+        avx512_matches_avx2_cases();
+    }
+
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        // m crosses the 8-row, 4-row and remainder blocks; k the KC=128
+        // block boundary; n the 32-column AVX-512 and 8-column AVX2 tails.
+        fn avx512_matches_avx2_cases(
+            (m, n, k) in (1usize..20, 1usize..80, 1usize..300),
+            batch in 2usize..4,
+            seed in 0u32..1000,
+        ) {
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let a: Vec<f32> = (0..m * k)
+                .map(|i| ((i as u32 ^ seed).wrapping_mul(747796405) % 997) as f32 * 1e-3 - 0.5)
+                .collect();
+            let b: Vec<f32> = (0..k * n)
+                .map(|i| ((i as u32 ^ seed).wrapping_mul(277803737) % 991) as f32 * 1e-3 - 0.5)
+                .collect();
+            let init: Vec<f32> = (0..m * n).map(|i| (i % 5) as f32 * 0.25).collect();
+            let packed = PackedA::pack(m, k, &a);
+            for threads in [1usize, 2, 8] {
+                let mut want = init.clone();
+                gemm_packed_with_kernel(&packed, n, &b, &mut want, threads, Kernel::Avx2);
+                let mut got = init.clone();
+                gemm_packed_with_kernel(&packed, n, &b, &mut got, threads, Kernel::Avx512);
+                prop_assert_eq!(bits(&want), bits(&got), "packed, threads={}", threads);
+                let mut want = init.clone();
+                gemm_with_kernel(m, n, k, &a, &b, &mut want, threads, Kernel::Avx2);
+                let mut got = init.clone();
+                gemm_with_kernel(m, n, k, &a, &b, &mut got, threads, Kernel::Avx512);
+                prop_assert_eq!(bits(&want), bits(&got), "unpacked, threads={}", threads);
+            }
+            // Widened B: `batch` copies of B (each shifted by one) side by
+            // side through AVX-512, against each item alone through AVX2.
+            let nt = batch * n;
+            let item = |q: usize, r: usize, j: usize| b[(r * n + j + q) % (k * n)];
+            let wide_b: Vec<f32> =
+                (0..k * nt).map(|i| item(i % nt / n, i / nt, i % n)).collect();
+            let mut wide_c: Vec<f32> = (0..m * nt).map(|i| (i / nt % 5) as f32 * 0.25).collect();
+            gemm_packed_with_kernel(&packed, nt, &wide_b, &mut wide_c, 2, Kernel::Avx512);
+            for q in 0..batch {
+                let item_b: Vec<f32> = (0..k * n).map(|i| item(q, i / n, i % n)).collect();
+                let mut c: Vec<f32> = (0..m * n).map(|i| (i / n % 5) as f32 * 0.25).collect();
+                gemm_packed_with_kernel(&packed, n, &item_b, &mut c, 1, Kernel::Avx2);
+                for r in 0..m {
+                    prop_assert_eq!(
+                        bits(&wide_c[r * nt + q * n..r * nt + (q + 1) * n]),
+                        bits(&c[r * n..(r + 1) * n]),
+                        "widened item={} row={}", q, r
+                    );
                 }
             }
         }

@@ -218,9 +218,10 @@ pub fn conv2d_packed_into(
 /// back to back in `inputs`) against one pre-packed filter bank with a
 /// *single* widened GEMM. The im2col lowerings of all items are assembled
 /// side by side into one `k × (batch·out_hw)` B matrix
-/// ([`gemm::im2col_strided`]), so the packed weight panels are streamed once
-/// per `NC` column block instead of once per query — the compute
-/// amortization the batching perf model prices.
+/// ([`gemm::im2col_strided`]), so each `KC` block of the packed weight
+/// panels stays cache-resident across every item's column tiles instead of
+/// being reloaded once per query — the compute amortization the batching
+/// perf model prices.
 ///
 /// Bit-identical to `batch` sequential [`conv2d_packed_into`] calls on the
 /// same operands, at any thread count: every output element accumulates in

@@ -46,9 +46,12 @@ pub enum Site {
     /// Row-major `rows × nrhs` accumulator of a batched `dense` (gemv_multi)
     /// before de-interleaving into per-item outputs.
     BatchGemv = 8,
+    /// `KC × NT` tile of a GEMM's `B` operand, packed once per tile and
+    /// swept from L1 by every row block of the packed-GEMM driver.
+    GemmTile = 9,
 }
 
-const N_SITES: usize = 9;
+const N_SITES: usize = 10;
 
 /// A per-thread set of reusable `f32` buffers, one slot per [`Site`].
 #[derive(Debug, Default)]
